@@ -21,20 +21,46 @@ bool FileSignature(const std::string& path, int64_t* mtime_ns, int64_t* size) {
 
 }  // namespace
 
+Status TableEntry::OpenLocked(const FormatDriver& driver) {
+  if (opened_) return Status::OK();
+  // Stat before mapping: if the file changes after this point, the next
+  // stale check sees a new signature and remaps, instead of the entry
+  // recording the new signature over a mapping of the old bytes.
+  RecordFileSignature();
+  RAW_RETURN_NOT_OK(driver.OpenTable(*this));
+  opened_ = true;
+  return Status::OK();
+}
+
 Status TableEntry::EnsureOpen() {
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   {
     std::lock_guard<std::mutex> lock(open_mu_);
-    if (!opened_) {
-      RAW_RETURN_NOT_OK(driver->OpenTable(*this));
-      opened_ = true;
-      RecordFileSignature();
-    }
+    RAW_RETURN_NOT_OK(OpenLocked(*driver));
   }
   // Derived state may change between queries (e.g. REF row counts served by
   // a shared reader) — refresh on every lookup.
   driver->RefreshEntry(*this);
+  return Status::OK();
+}
+
+Status TableEntry::Pin(FormatScanContext* ctx) {
+  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
+                       FormatRegistry::Global().Require(info.format));
+  // CheckStale swaps state under open_mu_ too, so between the (re)open and
+  // the capture below no stale check can drop what is being pinned.
+  std::lock_guard<std::mutex> open_lock(open_mu_);
+  RAW_RETURN_NOT_OK(OpenLocked(*driver));
+  std::lock_guard<std::mutex> lock(mu_);
+  ctx->entry = this;
+  ctx->mmap = mmap_;
+  ctx->bin_reader = bin_reader_;
+  ctx->csv_quoted = csv_quoted_;
+  ctx->published_pmap = pmap_;
+  ctx->format_state = format_state_;
+  ctx->row_count = row_count_.load(std::memory_order_acquire);
+  ctx->version = version_.load(std::memory_order_acquire);
   return Status::OK();
 }
 
@@ -85,24 +111,25 @@ bool TableEntry::CheckStale() {
     if (!FileSignature(info.path, &mtime_ns, &size)) return false;
     if (mtime_ns == file_mtime_ns_ && size == file_size_) return false;
   }
-  // The file changed underneath us. Retire the open handles (in-flight
-  // queries hold raw pointers into them), drop derived state, and force the
-  // next EnsureOpen to remap the new contents.
+  // The file changed underneath us. Drop the entry's references to the
+  // open handles and derived state — queries that pinned them keep theirs,
+  // and the old mapping goes away with the last of those — and force the
+  // next EnsureOpen or Pin to remap the new contents. The version moves
+  // under `mu_` together with the state it versions, so a publish checked
+  // under `mu_` can never land a structure of the old bytes after the drop.
   std::lock_guard<std::mutex> open_lock(open_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (mmap_ != nullptr) retired_mmaps_.push_back(std::move(mmap_));
-    if (bin_reader_ != nullptr) {
-      retired_bin_readers_.push_back(std::move(bin_reader_));
-    }
+    mmap_.reset();
+    bin_reader_.reset();
     pmap_.reset();
     format_state_.reset();
     loaded_.reset();
     row_count_.store(-1, std::memory_order_release);
     file_mtime_ns_ = mtime_ns;
     file_size_ = size;
+    version_.fetch_add(1, std::memory_order_acq_rel);
   }
-  version_.fetch_add(1, std::memory_order_acq_rel);
   opened_ = false;  // guarded by open_mu_
   return true;
 }
@@ -152,17 +179,19 @@ std::shared_ptr<const PositionalMap> TableEntry::pmap() const {
   return pmap_;
 }
 
-bool TableEntry::TryClaimPmapBuild() {
+bool TableEntry::TryClaimPmapBuild(int64_t pinned_version) {
+  if (pinned_version == kCurrentVersion) pinned_version = version();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pmap_ != nullptr) return false;
+    // A map of already-stale bytes could never be published.
+    if (pmap_ != nullptr || pinned_version != version()) return false;
   }
   bool expected = false;
   if (!pmap_building_.compare_exchange_strong(expected, true,
                                               std::memory_order_acq_rel)) {
     return false;
   }
-  pmap_claim_version_.store(version(), std::memory_order_release);
+  pmap_claim_version_.store(pinned_version, std::memory_order_release);
   return true;
 }
 
@@ -175,10 +204,10 @@ void TableEntry::PublishPmap(std::shared_ptr<const PositionalMap> map) {
   // epoch since the claim) indexes the old file; publishing it would hand
   // later queries offsets into unrelated data. Drop it silently — the next
   // query re-claims and rebuilds against the fresh mapping.
-  const bool fresh =
-      pmap_claim_version_.load(std::memory_order_acquire) == version();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool fresh =
+        pmap_claim_version_.load(std::memory_order_acquire) == version();
     if (fresh && pmap_ == nullptr && map != nullptr && !map->empty()) {
       pmap_ = std::move(map);
       SetRowCountIfUnknown(pmap_->num_rows());
@@ -192,17 +221,18 @@ std::shared_ptr<const FormatAdaptiveState> TableEntry::format_state() const {
   return format_state_;
 }
 
-bool TableEntry::TryClaimFormatStateBuild() {
+bool TableEntry::TryClaimFormatStateBuild(int64_t pinned_version) {
+  if (pinned_version == kCurrentVersion) pinned_version = version();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (format_state_ != nullptr) return false;
+    if (format_state_ != nullptr || pinned_version != version()) return false;
   }
   bool expected = false;
   if (!format_state_building_.compare_exchange_strong(
           expected, true, std::memory_order_acq_rel)) {
     return false;
   }
-  format_state_claim_version_.store(version(), std::memory_order_release);
+  format_state_claim_version_.store(pinned_version, std::memory_order_release);
   return true;
 }
 
@@ -214,10 +244,10 @@ void TableEntry::PublishFormatState(
     std::shared_ptr<const FormatAdaptiveState> state) {
   // Same mutate-under-claim guard as PublishPmap: an index of the old bytes
   // must never describe the remapped file.
-  const bool fresh = format_state_claim_version_.load(
-                         std::memory_order_acquire) == version();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool fresh = format_state_claim_version_.load(
+                           std::memory_order_acquire) == version();
     if (fresh && format_state_ == nullptr && state != nullptr) {
       format_state_ = std::move(state);
     }
@@ -226,34 +256,36 @@ void TableEntry::PublishFormatState(
 }
 
 StatusOr<std::shared_ptr<const InMemoryTable>> TableEntry::EnsureLoaded(
-    double* load_seconds) {
+    const FormatScanContext& ctx, double* load_seconds) {
   if (load_seconds != nullptr) *load_seconds = 0;
-  {
+  // CheckStale drops loaded_ and bumps version_ together under `mu_`, so a
+  // published copy is always of the current version.
+  auto published = [&]() -> std::shared_ptr<const InMemoryTable> {
     std::lock_guard<std::mutex> lock(mu_);
-    if (loaded_ != nullptr) return loaded_;
-  }
+    return version() == ctx.version ? loaded_ : nullptr;
+  };
+  if (auto copy = published()) return copy;
   // Duplicate loaders serialize on load_mu_ (the work happens once), but
   // `mu_` stays free so concurrent readers of the entry's other state are
-  // not stalled behind a multi-second load. The file handles the driver
-  // reads below are stable after EnsureOpen, which every caller has been
-  // through.
+  // not stalled behind a multi-second load.
   std::lock_guard<std::mutex> load_lock(load_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (loaded_ != nullptr) return loaded_;  // lost the race; share it
-  }
+  if (auto copy = published()) return copy;  // lost the race; share it
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   Stopwatch watch;
   RAW_ASSIGN_OR_RETURN(std::unique_ptr<InMemoryTable> table,
-                       driver->LoadTable(*this));
+                       driver->LoadTable(ctx));
   std::shared_ptr<const InMemoryTable> loaded(std::move(table));
-  row_count_.store(loaded->num_rows(), std::memory_order_release);
+  const double seconds = watch.ElapsedSeconds();
+  if (load_seconds != nullptr) *load_seconds = seconds;
   {
+    // Publish only a copy of the current bytes: one loaded from a pinned
+    // mapping the file has since moved past serves this query alone.
     std::lock_guard<std::mutex> lock(mu_);
-    load_seconds_ = watch.ElapsedSeconds();
-    if (load_seconds != nullptr) *load_seconds = load_seconds_;
-    loaded_ = loaded;
+    if (version() == ctx.version) {
+      loaded_ = loaded;
+      row_count_.store(loaded->num_rows(), std::memory_order_release);
+    }
   }
   return loaded;
 }

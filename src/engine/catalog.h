@@ -69,33 +69,39 @@ struct TableStats {
 /// the positional map, format-specific adaptive state, discovered row
 /// counts, and (for the DBMS baseline) a fully loaded copy.
 ///
-/// Thread-safety: `info` is immutable after registration. File handles are
-/// opened once (EnsureOpen dispatches to the format driver, idempotent under
-/// the entry's open lock) and never reset, so their raw pointers stay valid
-/// for the engine's lifetime. Adaptive state — the positional map, the
-/// driver's format state, and the loaded copy — is published as immutable
-/// shared_ptr snapshots: planners take a snapshot per query, so
-/// ResetAdaptiveState() can drop the entry's reference while in-flight
-/// queries keep theirs.
+/// Thread-safety: `info` is immutable after registration. Everything a
+/// query reads of the table — the file handles, the positional map, the
+/// driver's format state, the row count and the version — is captured at
+/// once by Pin() into the query's FormatScanContext, as shared_ptr
+/// snapshots. A changed file (CheckStale) or ResetAdaptiveState() only drops
+/// the entry's own references; in-flight queries keep reading what they
+/// pinned, and an old mapping is freed when the last plan holding it ends.
 struct TableEntry {
   TableInfo info;
 
   /// Opens the table through its format driver (idempotent, thread-safe):
-  /// dispatches FormatDriver::OpenTable once, then RefreshEntry on every
-  /// call so drivers can refresh derived state between queries.
+  /// dispatches FormatDriver::OpenTable when the entry holds no open handles
+  /// (first use, or after a stale check dropped them), then RefreshEntry on
+  /// every call so drivers can refresh derived state between queries.
   Status EnsureOpen();
 
-  // --- stable handles (valid after a successful EnsureOpen) ------------------
-  const MmapFile* mmap() const { return mmap_.get(); }
-  const BinaryReader* bin_reader() const { return bin_reader_.get(); }
+  /// Pins this query's snapshot of the table into `ctx` (pointing
+  /// `ctx->entry` here): reopens the table if a stale check dropped its
+  /// handles, then captures the handles, the published positional map and
+  /// format state, the row count and the version, all under the entry's
+  /// open lock — so a concurrent CheckStale can never hand the query a
+  /// half-invalidated table or a null handle.
+  Status Pin(FormatScanContext* ctx);
+
+  /// Shared REF reader (attached once by PrepareShared, never replaced).
   RefReader* ref_reader() const { return ref_reader_.get(); }
-  bool csv_quoted() const { return csv_quoted_; }
 
   // --- driver-facing open hooks ----------------------------------------------
   // Called from FormatDriver catalog hooks (OpenTable/PrepareShared); each is
   // idempotent and takes the entry mutex internally.
 
-  /// Maps the table's file read-only; returns the stable handle.
+  /// Maps the table's file read-only; returns the entry's current mapping
+  /// (valid for the rest of the OpenTable call that asked for it).
   StatusOr<const MmapFile*> EnsureMmap();
   /// Records whether the (CSV-family) file uses quoting.
   void SetCsvQuoted(bool quoted);
@@ -128,11 +134,14 @@ struct TableEntry {
   /// The published (complete, immutable) map, or null.
   std::shared_ptr<const PositionalMap> pmap() const;
 
-  /// Claims the right to build this table's positional map. At most one
-  /// in-flight query holds the claim; concurrent cold scans simply run
-  /// without building. The claim ends with PublishPmap (successful full
-  /// drain) or AbandonPmapBuild (partial scan, error, plan dropped).
-  bool TryClaimPmapBuild();
+  /// Claims the right to build this table's positional map over the bytes
+  /// of `pinned_version` (a query's FormatScanContext::version; the default
+  /// claims for the entry's current version). At most one in-flight query
+  /// holds the claim; concurrent cold scans simply run without building, and
+  /// a query whose pinned bytes are already stale never claims. The claim
+  /// ends with PublishPmap (successful full drain) or AbandonPmapBuild
+  /// (partial scan, error, plan dropped).
+  bool TryClaimPmapBuild(int64_t pinned_version = kCurrentVersion);
   void AbandonPmapBuild();
   void PublishPmap(std::shared_ptr<const PositionalMap> map);
 
@@ -143,17 +152,19 @@ struct TableEntry {
   /// The published (complete, immutable) driver state, or null.
   std::shared_ptr<const FormatAdaptiveState> format_state() const;
 
-  bool TryClaimFormatStateBuild();
+  bool TryClaimFormatStateBuild(int64_t pinned_version = kCurrentVersion);
   void AbandonFormatStateBuild();
   void PublishFormatState(std::shared_ptr<const FormatAdaptiveState> state);
 
   // --- DBMS-baseline loaded copy ---------------------------------------------
-  /// Loads the full table once through the format driver (thread-safe;
-  /// concurrent callers share the result). `load_seconds` (optional)
-  /// receives the one-off load time when this call performed the load,
-  /// else 0.
+  /// Loads the full table once through the format driver, from the handles
+  /// pinned in `ctx` (thread-safe; concurrent callers at the same version
+  /// share the result). A copy loaded from bytes that are no longer the
+  /// entry's current version serves only this query and is not published.
+  /// `load_seconds` (optional) receives the one-off load time when this call
+  /// performed the load, else 0.
   StatusOr<std::shared_ptr<const InMemoryTable>> EnsureLoaded(
-      double* load_seconds);
+      const FormatScanContext& ctx, double* load_seconds);
   std::shared_ptr<const InMemoryTable> loaded() const;
 
   // --- workload access counters ----------------------------------------------
@@ -171,14 +182,12 @@ struct TableEntry {
   std::vector<int64_t> ColumnAccessSnapshot() const;
 
   // --- file identity / staleness ---------------------------------------------
-  /// Stats the backing file and records its (mtime, size) signature; called
-  /// after every successful driver open so a reopened table re-anchors.
-  void RecordFileSignature();
   /// Re-stats the backing file. When the signature changed since the last
-  /// open: bumps the version, drops adaptive state, retires the open file
-  /// handles (kept alive for in-flight raw-pointer readers) and arranges for
-  /// the next EnsureOpen to remap, then returns true. Never true before the
-  /// first open, on stat failure, or for shared-reader (REF) tables.
+  /// open: bumps the version, drops the entry's references to its file
+  /// handles and adaptive state (queries that pinned them keep them) and
+  /// arranges for the next EnsureOpen or Pin to remap, then returns true.
+  /// Never true before the first open, on stat failure, or for
+  /// shared-reader (REF) tables.
   bool CheckStale();
   /// Monotonic staleness epoch; part of every cache key over this table.
   int64_t version() const { return version_.load(std::memory_order_acquire); }
@@ -189,30 +198,37 @@ struct TableEntry {
 
   TableStats Stats() const;
 
+  /// Default for the build claims: the entry's version at claim time.
+  static constexpr int64_t kCurrentVersion = -1;
+
  private:
+  /// OpenTable through `driver` unless the entry is open (open_mu_ held).
+  Status OpenLocked(const FormatDriver& driver);
+  /// Stats the backing file and records its (mtime, size) signature; called
+  /// before every driver open, so a reopened table re-anchors on the bytes
+  /// it is about to map.
+  void RecordFileSignature();
+
   mutable std::mutex mu_;
-  /// Serializes the one-off driver OpenTable without holding `mu_` (driver
-  /// hooks like EnsureMmap take `mu_` themselves).
+  /// Serializes driver OpenTable, stale-check swaps and Pin without holding
+  /// `mu_` (driver hooks like EnsureMmap take `mu_` themselves).
   std::mutex open_mu_;
   /// Serializes duplicate DBMS-baseline loads without holding `mu_` for the
   /// load's duration (readers of other entry state must not stall behind a
   /// multi-second load).
   std::mutex load_mu_;
   bool opened_ = false;  // guarded by open_mu_
-  std::unique_ptr<MmapFile> mmap_;           // raw file bytes
-  std::unique_ptr<BinaryReader> bin_reader_;  // binary layout view
-  std::shared_ptr<RefReader> ref_reader_;     // shared across one file's tables
+  // Current handles (guarded by mu_; queries pin copies via Pin).
+  std::shared_ptr<const MmapFile> mmap_;           // raw file bytes
+  std::shared_ptr<const BinaryReader> bin_reader_;  // binary layout view
+  std::shared_ptr<RefReader> ref_reader_;  // shared across one file's tables
   bool csv_quoted_ = false;
-  /// Handles displaced by a stale-file reopen. In-flight queries hold raw
-  /// pointers into them (the "stable handles" contract), so they retire here
-  /// instead of being destroyed; file replacement is rare, so the set stays
-  /// tiny.
-  std::vector<std::unique_ptr<MmapFile>> retired_mmaps_;
-  std::vector<std::unique_ptr<BinaryReader>> retired_bin_readers_;
 
   /// Recorded file signature (guarded by mu_; -1 size = not yet recorded).
   int64_t file_size_ = -1;
   int64_t file_mtime_ns_ = 0;
+  /// Written under mu_ (together with the state it versions); lock-free
+  /// readers use version().
   std::atomic<int64_t> version_{0};
 
   std::atomic<int64_t> scan_count_{0};
@@ -225,9 +241,9 @@ struct TableEntry {
 
   std::shared_ptr<const PositionalMap> pmap_;   // published map (complete)
   std::atomic<bool> pmap_building_{false};
-  /// Staleness epoch recorded when the build claim was granted; Publish*
-  /// refuses the result if the file changed in between (the map indexes
-  /// bytes that no longer exist).
+  /// Version of the bytes the claimed build indexes (the claimant's pinned
+  /// version); Publish* refuses the result unless it is still current (the
+  /// map would index bytes that no longer exist).
   std::atomic<int64_t> pmap_claim_version_{-1};
 
   std::shared_ptr<const FormatAdaptiveState> format_state_;  // published
@@ -235,7 +251,6 @@ struct TableEntry {
   std::atomic<int64_t> format_state_claim_version_{-1};
 
   std::shared_ptr<const InMemoryTable> loaded_;  // DBMS baseline storage
-  double load_seconds_ = 0;
 };
 
 /// Options controlling catalog-wide runtime behaviour.

@@ -101,11 +101,11 @@ struct PhysicalPlan {
   std::string description;      // EXPLAIN-style summary
   double compile_seconds = 0;   // JIT compilation charged to this query
   Deadline deadline;            // propagated from PlannerOptions
-  /// Immutable snapshots the operator tree references by raw pointer
-  /// (positional maps, loaded tables). Holding them here pins them for the
-  /// plan's whole lifetime — streaming cursors keep working even if
-  /// RawEngine::ResetAdaptiveState() drops the engine's own references
-  /// mid-stream.
+  /// Immutable snapshots the operator tree references by raw pointer (file
+  /// mappings, positional maps, loaded tables). Holding them here pins them
+  /// for the plan's whole lifetime — streaming cursors keep working even if
+  /// a changed file or RawEngine::ResetAdaptiveState() drops the engine's
+  /// own references mid-stream.
   std::vector<std::shared_ptr<const void>> resources;
 
   /// Robustness counters scans of this plan update (rows skipped/null-filled

@@ -112,8 +112,8 @@ class CachedColumnsScanOperator : public Operator {
 
 /// Accumulates the values flowing out of a raw scan and registers them in the
 /// shred cache at Close() — "RAW preserves a pool of column shreds populated
-/// as a side-effect of previous queries" (§3). Also discovers the table's
-/// row count on full scans.
+/// as a side-effect of previous queries" (§3) — tagged with the table version
+/// the query pinned. Also discovers the table's row count on full scans.
 class CacheInsertOperator : public Operator {
  public:
   struct Mapping {
@@ -122,11 +122,12 @@ class CacheInsertOperator : public Operator {
   };
 
   CacheInsertOperator(OperatorPtr child, ShredCache* cache, std::string table,
-                      std::vector<Mapping> mappings, bool full_scan,
-                      TableEntry* row_count_sink)
+                      int64_t version, std::vector<Mapping> mappings,
+                      bool full_scan, TableEntry* row_count_sink)
       : child_(std::move(child)),
         cache_(cache),
         table_(std::move(table)),
+        version_(version),
         mappings_(std::move(mappings)),
         full_scan_(full_scan),
         row_count_sink_(row_count_sink) {}
@@ -174,7 +175,7 @@ class CacheInsertOperator : public Operator {
         RAW_RETURN_NOT_OK(cache_->Insert(
             table_, mappings_[i].table_column,
             (contiguous && full_scan_) ? nullptr : row_ids_.data(),
-            *accumulators_[i]));
+            *accumulators_[i], version_));
       }
       if (full_scan_ && contiguous && row_count_sink_ != nullptr) {
         row_count_sink_->SetRowCountIfUnknown(
@@ -191,6 +192,7 @@ class CacheInsertOperator : public Operator {
   OperatorPtr child_;
   ShredCache* cache_;
   std::string table_;
+  int64_t version_;
   std::vector<Mapping> mappings_;
   bool full_scan_;
   TableEntry* row_count_sink_;
@@ -199,14 +201,16 @@ class CacheInsertOperator : public Operator {
   bool drained_ = false;
 };
 
-/// RowFetcher that consults the shred cache first and falls back to a raw
-/// fetcher on a subsumption miss (all-or-nothing per fetch).
+/// RowFetcher that consults the shred cache (at the query's pinned table
+/// version) first and falls back to a raw fetcher on a subsumption miss
+/// (all-or-nothing per fetch).
 class CacheAwareFetcher : public RowFetcher {
  public:
-  CacheAwareFetcher(ShredCache* cache, std::string table,
+  CacheAwareFetcher(ShredCache* cache, std::string table, int64_t version,
                     std::vector<int> table_columns, RowFetcherPtr inner)
       : cache_(cache),
         table_(std::move(table)),
+        version_(version),
         table_columns_(std::move(table_columns)),
         inner_(std::move(inner)) {}
 
@@ -217,7 +221,7 @@ class CacheAwareFetcher : public RowFetcher {
       std::vector<ColumnPtr> cached;
       bool all_hit = true;
       for (int col : table_columns_) {
-        auto hit = cache_->Lookup(table_, col, rows.ids);
+        auto hit = cache_->Lookup(table_, col, rows.ids, version_);
         if (!hit.ok()) {
           all_hit = false;
           break;
@@ -232,6 +236,7 @@ class CacheAwareFetcher : public RowFetcher {
  private:
   ShredCache* cache_;
   std::string table_;
+  int64_t version_;
   std::vector<int> table_columns_;
   RowFetcherPtr inner_;
 };
@@ -253,26 +258,26 @@ struct BuildCtx {
   std::map<TableEntry*, FormatScanContext>* tables = nullptr;
   ScanHealth* health = nullptr;  // owned by the PhysicalPlan under build
 
-  FormatScanContext& Ctx(TableEntry* entry) {
+  /// Pins the table's snapshot once when planning starts (a table named
+  /// twice in one query is pinned once), so the whole plan reads one
+  /// consistent view — file handles included — even while other sessions
+  /// publish maps, load copies, reset the engine, or detect a changed file.
+  Status Pin(TableEntry* entry) {
     FormatScanContext& tc = (*tables)[entry];
-    if (tc.entry == nullptr) {
-      tc.entry = entry;
-      tc.opts = opts;
-      tc.jit = jit;
-      tc.num_threads = num_threads;
-      tc.desc = desc;
-      tc.health = health;
-      // Snapshot the adaptive state once when planning starts, so the whole
-      // plan sees one consistent view even while other sessions publish
-      // maps, load copies, or reset the engine.
-      tc.published_pmap = entry->pmap();
-      tc.format_state = entry->format_state();
-      tc.row_count = entry->row_count();
-      // First touch in this query: one scan tick per (query, table).
-      if (opts->count_accesses) entry->NoteScan();
-    }
-    return tc;
+    if (tc.entry != nullptr) return Status::OK();
+    RAW_RETURN_NOT_OK(entry->Pin(&tc));
+    tc.opts = opts;
+    tc.jit = jit;
+    tc.num_threads = num_threads;
+    tc.desc = desc;
+    tc.health = health;
+    // First touch in this query: one scan tick per (query, table).
+    if (opts->count_accesses) entry->NoteScan();
+    return Status::OK();
   }
+
+  /// The pinned context of a table resolved for this query.
+  FormatScanContext& Ctx(TableEntry* entry) { return tables->at(entry); }
 };
 
 /// Registered driver for the entry's format (annotated NotFound otherwise —
@@ -292,7 +297,7 @@ std::vector<int> SortedUnique(std::vector<int> v) {
 Status EnsureLoaded(BuildCtx& ctx, FormatScanContext& tc) {
   if (tc.loaded != nullptr) return Status::OK();
   double load_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(tc.loaded, tc.entry->EnsureLoaded(&load_seconds));
+  RAW_ASSIGN_OR_RETURN(tc.loaded, tc.entry->EnsureLoaded(tc, &load_seconds));
   tc.row_count = tc.loaded->num_rows();
   if (load_seconds > 0) {
     (*ctx.desc) << "[load " << tc.entry->info.name << " " << load_seconds
@@ -349,7 +354,7 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
   const bool must_run_raw_scan = tc.HoldsUnwiredBuildClaim();
   if (opts.use_shred_cache && !must_run_raw_scan) {
     for (int c : cols) {
-      auto hit = ctx.shreds->LookupFull(info.name, c);
+      auto hit = ctx.shreds->LookupFull(info.name, c, tc.version);
       if (hit.ok()) {
         cached_cols.push_back(c);
         cached_values.push_back(std::move(hit).value());
@@ -377,9 +382,9 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
       mappings.push_back(
           CacheInsertOperator::Mapping{static_cast<int>(i), raw_cols[i]});
     }
-    op = std::make_unique<CacheInsertOperator>(std::move(op), ctx.shreds,
-                                               info.name, std::move(mappings),
-                                               full_scan, entry);
+    op = std::make_unique<CacheInsertOperator>(
+        std::move(op), ctx.shreds, info.name, tc.version, std::move(mappings),
+        full_scan, entry);
   }
 
   if (!cached_cols.empty()) {
@@ -412,7 +417,7 @@ StatusOr<RowFetcherPtr> BuildFetcher(BuildCtx& ctx, FormatScanContext& tc,
   }
   if (!opts.use_shred_cache) return inner;
   return RowFetcherPtr(std::make_unique<CacheAwareFetcher>(
-      ctx.shreds, tc.entry->info.name, cols, std::move(inner)));
+      ctx.shreds, tc.entry->info.name, tc.version, cols, std::move(inner)));
 }
 
 // =============================================================================
@@ -577,7 +582,7 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
     in.type = schema.field(c).type;
     ColumnPtr dense;
     if (opts.use_shred_cache && !tc.HoldsUnwiredBuildClaim()) {
-      auto hit = ctx.shreds->LookupFull(entry->info.name, c);
+      auto hit = ctx.shreds->LookupFull(entry->info.name, c, tc.version);
       if (hit.ok()) dense = std::move(hit).value();
     }
     in.dense = dense != nullptr;
@@ -722,12 +727,13 @@ struct SidePlan {
   ShredPolicy policy = ShredPolicy::kShreds;
 };
 
-/// Estimates the fraction of `entry`'s rows passing `pred` using the shred
-/// cache (exact when the full predicate column is cached), or nullopt.
+/// Estimates the fraction of the pinned table's rows passing `pred` using
+/// the shred cache (exact when the full predicate column is cached), or
+/// nullopt.
 std::optional<double> EstimateSelectivity(ShredCache* shreds,
-                                          const TableEntry& entry,
+                                          const FormatScanContext& tc,
                                           const PredicateSpec& pred, int col) {
-  auto cached = shreds->LookupFull(entry.info.name, col);
+  auto cached = shreds->LookupFull(tc.entry->info.name, col, tc.version);
   if (!cached.ok()) return std::nullopt;
   const Column& values = **cached;
   if (values.length() == 0) return 1.0;
@@ -758,7 +764,7 @@ ShredPolicy ResolveAdaptivePolicy(BuildCtx& ctx, const SidePlan& side) {
   bool any_estimate = false;
   for (size_t i = 0; i < side.predicates.size(); ++i) {
     std::optional<double> est = EstimateSelectivity(
-        ctx.shreds, entry, side.predicates[i], side.predicate_cols[i]);
+        ctx.shreds, tc, side.predicates[i], side.predicate_cols[i]);
     if (est.has_value()) {
       selectivity *= *est;
       any_estimate = true;
@@ -800,8 +806,8 @@ OperatorPtr WrapLateScanCacheInsert(BuildCtx& ctx, OperatorPtr op,
         base_fields + static_cast<int>(j), fetch_cols[j]});
   }
   return std::make_unique<CacheInsertOperator>(
-      std::move(op), ctx.shreds, entry->info.name, std::move(mappings),
-      /*full_scan=*/false, /*row_count_sink=*/nullptr);
+      std::move(op), ctx.shreds, entry->info.name, ctx.Ctx(entry).version,
+      std::move(mappings), /*full_scan=*/false, /*row_count_sink=*/nullptr);
 }
 
 /// Builds scan -> [late scan, filter]* -> [late scan] for one table.
@@ -971,7 +977,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
   for (const std::string& t : query.tables) {
     RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_->Get(t));
     entries.push_back(entry);
-    ctx.Ctx(entry);  // snapshot adaptive state once per query
+    RAW_RETURN_NOT_OK(ctx.Pin(entry));
   }
 
   // If planning fails after a table context claimed an adaptive-state build
@@ -1283,8 +1289,11 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
   }
 
   // Pin the per-query snapshots for the plan's lifetime: operators reference
-  // them by raw pointer, and streaming cursors may outlive engine-side state.
+  // them by raw pointer, and streaming cursors may outlive engine-side state
+  // (a changed file drops the entry's handles; the plan keeps its own).
   for (auto& [entry, tc] : table_ctxs) {
+    if (tc.mmap != nullptr) plan.resources.push_back(tc.mmap);
+    if (tc.bin_reader != nullptr) plan.resources.push_back(tc.bin_reader);
     if (tc.published_pmap != nullptr) plan.resources.push_back(tc.published_pmap);
     if (tc.building_pmap != nullptr) plan.resources.push_back(tc.building_pmap);
     if (tc.format_state != nullptr) plan.resources.push_back(tc.format_state);

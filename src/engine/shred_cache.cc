@@ -21,25 +21,32 @@ ShredCache::Shard& ShredCache::ShardFor(const std::string& key) const {
 }
 
 ShredCache::Entry* ShredCache::Find(Shard& shard, const std::string& key,
-                                    bool refresh_lru) {
+                                    int64_t version, bool refresh_lru) {
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;
+  if (it == shard.index.end() || it->second->version != version) {
+    return nullptr;
+  }
   if (refresh_lru) shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return &*it->second;
 }
 
 Status ShredCache::Insert(const std::string& table, int column,
-                          const int64_t* row_ids, const Column& values) {
+                          const int64_t* row_ids, const Column& values,
+                          int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* existing = Find(shard, key, /*refresh_lru=*/false);
+  auto found = shard.index.find(key);
   const int64_t new_rows = values.length();
-  if (existing != nullptr) {
+  if (found != shard.index.end()) {
+    const Entry* existing = &*found->second;
+    // Values of newer bytes win outright; values of older bytes go.
+    if (existing->version > version) return Status::OK();
     int64_t old_rows = existing->full()
                            ? existing->values->length()
                            : static_cast<int64_t>(existing->row_ids.size());
-    if (existing->full() || old_rows >= new_rows) {
+    if (existing->version == version &&
+        (existing->full() || old_rows >= new_rows)) {
       return Status::OK();  // keep the (at least as large) existing entry
     }
     shard.bytes_cached -= existing->bytes;
@@ -49,6 +56,7 @@ Status ShredCache::Insert(const std::string& table, int column,
   }
   Entry entry;
   entry.key = key;
+  entry.version = version;
   entry.values = std::make_shared<Column>(values);
   if (row_ids != nullptr) {
     entry.row_ids.assign(row_ids, row_ids + new_rows);
@@ -88,11 +96,11 @@ void ShredCache::EvictOverCapacity(Shard& shard) {
 }
 
 bool ShredCache::Covers(const std::string& table, int column,
-                        const std::vector<int64_t>& rows) {
+                        const std::vector<int64_t>& rows, int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/false);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/false);
   if (entry == nullptr) return false;
   if (entry->full()) {
     for (int64_t r : rows) {
@@ -108,11 +116,12 @@ bool ShredCache::Covers(const std::string& table, int column,
 }
 
 StatusOr<ColumnPtr> ShredCache::Lookup(const std::string& table, int column,
-                                       const std::vector<int64_t>& rows) {
+                                       const std::vector<int64_t>& rows,
+                                       int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/true);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/true);
   if (entry == nullptr) {
     ++shard.misses;
     return Status::NotFound("no cached shred");
@@ -147,11 +156,11 @@ StatusOr<ColumnPtr> ShredCache::Lookup(const std::string& table, int column,
 }
 
 StatusOr<ColumnPtr> ShredCache::LookupFull(const std::string& table,
-                                           int column) {
+                                           int column, int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/true);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/true);
   if (entry == nullptr || !entry->full()) {
     ++shard.misses;
     return Status::NotFound("no cached full column");

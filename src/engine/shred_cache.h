@@ -36,6 +36,13 @@ struct CacheStats {
 /// arbitrary shreds is bookkeeping the paper also points out can become
 /// costly, §5.1).
 ///
+/// Every entry is tagged with the staleness version of the table bytes it
+/// was read from (TableEntry::version; 0 for callers that never version).
+/// Lookups only hit an entry of their own version, and an insert never
+/// replaces a newer version's entry with an older one — so a query that
+/// pinned a file's old bytes can neither read nor leave behind values that
+/// a query over the new bytes would mix into its answer.
+///
 /// Thread-safety: the cache is *sharded* by (table, column) key hash; each
 /// shard has its own mutex and LRU list, so concurrent sessions touching
 /// different columns never contend on one lock. The byte budget stays
@@ -53,27 +60,32 @@ class ShredCache {
   explicit ShredCache(int64_t capacity_bytes = 1ll << 30,
                       int num_shards = kDefaultNumShards);
 
-  /// Inserts values for `row_ids` (nullptr => full column starting at row 0).
-  /// `row_ids` must be strictly increasing when present.
+  /// Inserts values for `row_ids` (nullptr => full column starting at row 0)
+  /// read from version `version` of the table. `row_ids` must be strictly
+  /// increasing when present.
   Status Insert(const std::string& table, int column, const int64_t* row_ids,
-                const Column& values);
+                const Column& values, int64_t version = 0);
 
   /// Returns the cached values for exactly `rows` (in order), or nullopt if
-  /// no entry subsumes the request. A hit refreshes LRU order.
+  /// no entry of `version` subsumes the request. A hit refreshes LRU order.
   StatusOr<ColumnPtr> Lookup(const std::string& table, int column,
-                             const std::vector<int64_t>& rows);
+                             const std::vector<int64_t>& rows,
+                             int64_t version = 0);
 
-  /// True when an entry subsumes `rows` without materializing the result.
+  /// True when an entry of `version` subsumes `rows` without materializing
+  /// the result.
   bool Covers(const std::string& table, int column,
-              const std::vector<int64_t>& rows);
+              const std::vector<int64_t>& rows, int64_t version = 0);
 
   /// Full-column fast path: the complete cached column when the entry is
-  /// full-length, else NotFound.
-  StatusOr<ColumnPtr> LookupFull(const std::string& table, int column);
+  /// full-length and of `version`, else NotFound.
+  StatusOr<ColumnPtr> LookupFull(const std::string& table, int column,
+                                 int64_t version = 0);
 
-  /// Side-effect-free introspection: true when a *full* column is cached for
-  /// (table, column). Unlike LookupFull this neither refreshes LRU order nor
-  /// counts a hit/miss — it exists for stats surfaces and tests.
+  /// Side-effect-free introspection: true when a *full* column (of any
+  /// version) is cached for (table, column). Unlike LookupFull this neither
+  /// refreshes LRU order nor counts a hit/miss — it exists for stats
+  /// surfaces and tests.
   bool ContainsFull(const std::string& table, int column) const;
 
   void Clear();
@@ -100,6 +112,7 @@ class ShredCache {
     std::vector<int64_t> row_ids;  // empty => full column
     ColumnPtr values;
     int64_t bytes = 0;
+    int64_t version = 0;  // table version the values were read from
 
     bool full() const { return row_ids.empty(); }
   };
@@ -124,8 +137,10 @@ class ShredCache {
 
   Shard& ShardFor(const std::string& key) const;
 
-  /// Caller holds `shard.mu`.
-  static Entry* Find(Shard& shard, const std::string& key, bool refresh_lru);
+  /// The entry for `key` when it is of `version`, else null (caller holds
+  /// `shard.mu`).
+  static Entry* Find(Shard& shard, const std::string& key, int64_t version,
+                     bool refresh_lru);
   void EvictOverCapacity(Shard& shard);
 
   int64_t capacity_bytes_;

@@ -20,9 +20,11 @@
 
 namespace raw {
 
+class BinaryReader;
 class Catalog;
 class InMemoryTable;
 class JitTemplateCache;
+class MmapFile;
 struct CostParams;
 struct FusedPipelineRequest;
 struct PipelineSpec;
@@ -61,11 +63,14 @@ struct FormatCostParams {
 };
 
 /// Per-(query, table) planning context threaded through every FormatDriver
-/// hook: the adaptive-state snapshot taken when planning started (one
-/// consistent view even while other sessions publish maps or reset the
-/// engine), the planner options, and the plan-description sink. The planner
-/// owns one per table; drivers update the build-claim fields when they wire
-/// adaptive-state construction into a scan.
+/// hook: the table snapshot pinned when planning started (TableEntry::Pin —
+/// file handles, adaptive state, row count and version captured together,
+/// one consistent view even while other sessions publish maps, reset the
+/// engine, or a changed file moves the entry on to new bytes), the planner
+/// options, and the plan-description sink. The planner owns one per table
+/// and keeps the pinned handles alive for the plan's lifetime; drivers read
+/// file bytes only through them, and update the build-claim fields when they
+/// wire adaptive-state construction into a scan.
 struct FormatScanContext {
   TableEntry* entry = nullptr;
   const PlannerOptions* opts = nullptr;
@@ -75,6 +80,17 @@ struct FormatScanContext {
   /// Per-query robustness counters the driver threads into its scan specs
   /// (owned by the physical plan; may be null in tests).
   ScanHealth* health = nullptr;
+
+  // --- pinned table snapshot (TableEntry::Pin) -------------------------------
+  /// The file bytes this query reads (null for formats that map nothing).
+  std::shared_ptr<const MmapFile> mmap;
+  /// Fixed-layout view over the same file (binary tables only).
+  std::shared_ptr<const BinaryReader> bin_reader;
+  /// Whether the pinned (CSV-family) bytes use quoting.
+  bool csv_quoted = false;
+  /// Staleness version of the pinned bytes; build claims record it, so a
+  /// structure built over these bytes is never published for newer ones.
+  int64_t version = -1;
 
   /// Complete, immutable map published by an earlier query (may be null).
   std::shared_ptr<const PositionalMap> published_pmap;
@@ -117,9 +133,11 @@ struct FormatScanContext {
 ///
 /// The contract, hook by hook, is documented in docs/format-drivers.md
 /// ("Writing a format driver"); the short version:
-///  * OpenTable/RefreshEntry/PrepareShared run under the catalog's per-entry
-///    open lock; they install stable handles (mmap, readers) that outlive
-///    every query.
+///  * OpenTable runs under the catalog's per-entry open lock and installs
+///    the entry's current handles (mmap, readers); a changed file drops
+///    them and the next query reopens. Every other hook reads file bytes
+///    only through the handles pinned in its FormatScanContext, which stay
+///    valid for the query even after the entry moved on.
 ///  * BuildScan returns the complete (possibly morsel-parallel) scan
 ///    operator for `cols`, with outputs renamed to `qualified`; morsels come
 ///    from the driver's own SplitMorsels and must cover every row exactly
@@ -141,8 +159,9 @@ class FormatDriver {
 
   // --- catalog hooks ---------------------------------------------------------
 
-  /// Opens the per-table handles (runs once per entry, serialized by the
-  /// entry's open lock). Handles must stay valid for the engine's lifetime.
+  /// Opens the per-table handles (runs once per open of the entry's current
+  /// file, serialized by the entry's open lock; runs again after a stale
+  /// check dropped them). Queries pin the handles through TableEntry::Pin.
   virtual Status OpenTable(TableEntry& entry) const = 0;
 
   /// Runs on every catalog lookup after the entry is open — refresh derived
@@ -158,9 +177,10 @@ class FormatDriver {
     return Status::OK();
   }
 
-  /// Fully materializes the table — the "DBMS" baseline load (§2.1).
+  /// Fully materializes the table from the pinned snapshot in `ctx` — the
+  /// "DBMS" baseline load (§2.1).
   virtual StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const = 0;
+      const FormatScanContext& ctx) const = 0;
 
   // --- planner hooks ---------------------------------------------------------
 

@@ -3,17 +3,26 @@
 // every injected fault must surface as a typed Status, never a crash or a
 // silent wrong answer), malformed-row policies (skip / null-fill) checked
 // against ground truth at 1 and 4 threads, staleness regressions
-// (truncate-under-warm-pmap, mutate-under-claim), and the serving tier's
+// (truncate-under-warm-pmap, mutate-under-claim, queries racing a changing
+// file, per-query snapshots freeing old mappings), and the serving tier's
 // typed-error / retry-reconnect behaviour.
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -576,6 +585,192 @@ TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {
   fresh_map->AppendRow(0, positions);
   entry->PublishPmap(fresh_map);
   EXPECT_NE(nullptr, entry->pmap());
+}
+
+TEST_F(StalenessTest, QueriesRacingAChangingFileSeeOneVersionOrATypedError) {
+  // Two versions of each table that differ in length. While four sessions
+  // query a CSV and a binary table, another thread flips the live files
+  // between the versions (write + atomic rename, as a writer replacing a
+  // file does) or just bumps their mtime. Every stale check then drops the
+  // entry's handles under sessions that are planning or scanning the same
+  // table: each answer must be one version's answer or a typed error.
+  constexpr int kSessions = 4;
+  constexpr int kQueriesPerSession = 120;
+  TableSpec spec = TableSpec::UniformInt32("t", 6, 2000, /*seed=*/5);
+  const Schema schema = spec.ToSchema();
+  std::vector<std::string> csv_bytes, bin_bytes;
+  for (int64_t rows : {2000, 3000}) {
+    spec.rows = rows;
+    const std::string tag = std::to_string(rows);
+    ASSERT_OK(WriteCsvFile(spec, Path(tag + ".csv")));
+    ASSERT_OK(WriteBinaryFile(spec, Path(tag + ".bin")));
+    ASSERT_OK_AND_ASSIGN(std::string csv, ReadFileToString(Path(tag + ".csv")));
+    ASSERT_OK_AND_ASSIGN(std::string bin, ReadFileToString(Path(tag + ".bin")));
+    csv_bytes.push_back(std::move(csv));
+    bin_bytes.push_back(std::move(bin));
+  }
+
+  const std::vector<std::string> queries = {
+      "SELECT COUNT(*) FROM t_csv WHERE col1 < 500000000",
+      "SELECT MAX(col4) FROM t_csv WHERE col2 < 300000000",
+      "SELECT COUNT(*) FROM t_bin WHERE col3 < 700000000",
+  };
+  std::map<std::string, std::set<std::string>> valid;  // sql -> answers
+  for (const char* tag : {"2000", "3000"}) {
+    RawEngine reference;
+    const std::string base = Path(tag);
+    ASSERT_OK(reference.RegisterCsv("t_csv", base + ".csv", schema));
+    ASSERT_OK(reference.RegisterBinary("t_bin", base + ".bin", schema));
+    for (const std::string& sql : queries) {
+      ASSERT_OK_AND_ASSIGN(QueryResult result, reference.Query(sql));
+      valid[sql].insert(result.table.ToString(100));
+    }
+  }
+  for (const auto& [sql, answers] : valid) {
+    ASSERT_EQ(2u, answers.size()) << "versions indistinguishable: " << sql;
+  }
+
+  const std::string live_csv = Path("t.csv");
+  const std::string live_bin = Path("t.bin");
+  ASSERT_OK(WriteStringToFile(live_csv, csv_bytes[0]));
+  ASSERT_OK(WriteStringToFile(live_bin, bin_bytes[0]));
+  RawEngine engine;
+  ASSERT_OK(engine.RegisterCsv("t_csv", live_csv, schema));
+  ASSERT_OK(engine.RegisterBinary("t_bin", live_bin, schema));
+
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    auto replace = [&](const std::string& path, const std::string& bytes) {
+      const std::string tmp = path + ".tmp";
+      EXPECT_OK(WriteStringToFile(tmp, bytes));
+      EXPECT_EQ(0, std::rename(tmp.c_str(), path.c_str()));
+    };
+    for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      if (i % 3 == 2) {
+        EXPECT_EQ(0, ::utimensat(AT_FDCWD, live_csv.c_str(), nullptr, 0));
+        EXPECT_EQ(0, ::utimensat(AT_FDCWD, live_bin.c_str(), nullptr, 0));
+      } else {
+        replace(live_csv, csv_bytes[static_cast<size_t>(i % 2)]);
+        replace(live_bin, bin_bytes[static_cast<size_t>(i % 2)]);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+
+  struct Outcome {
+    std::string sql;
+    StatusCode code = StatusCode::kOk;
+    std::string text;  // answer, or the error message
+  };
+  std::vector<std::vector<Outcome>> outcomes(kSessions);
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&, s] {
+      PlannerOptions options;
+      // Morsel-parallel in-situ scans and the loaded-copy baseline both read
+      // the table's file handles.
+      options.access_path =
+          s == 0 ? AccessPathKind::kLoaded : AccessPathKind::kInSitu;
+      options.num_threads = 2;
+      auto session = engine.OpenSession(options);
+      for (int q = 0; q < kQueriesPerSession; ++q) {
+        Outcome outcome;
+        outcome.sql = queries[static_cast<size_t>(q + s) % queries.size()];
+        auto result = session->Query(outcome.sql);
+        if (result.ok()) {
+          outcome.text = result->table.ToString(100);
+        } else {
+          outcome.code = result.status().code();
+          outcome.text = result.status().ToString();
+        }
+        outcomes[static_cast<size_t>(s)].push_back(std::move(outcome));
+      }
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  stop.store(true, std::memory_order_release);
+  churn.join();
+
+  int answered = 0;
+  for (const auto& session_outcomes : outcomes) {
+    for (const Outcome& outcome : session_outcomes) {
+      if (outcome.code == StatusCode::kOk) {
+        ++answered;
+        EXPECT_EQ(1u, valid[outcome.sql].count(outcome.text))
+            << outcome.sql << " answered neither version:\n" << outcome.text;
+      } else {
+        EXPECT_TRUE(outcome.code == StatusCode::kIOError ||
+                    outcome.code == StatusCode::kDataCorruption ||
+                    outcome.code == StatusCode::kParseError)
+            << outcome.sql << ": " << outcome.text;
+      }
+    }
+  }
+  EXPECT_GT(answered, 0);
+  for (const TableStats& table : engine.Stats().tables) {
+    EXPECT_GT(table.version, 0) << table.name << " never saw a file change";
+  }
+}
+
+TEST_F(StalenessTest, StaleMappingIsFreedWithTheLastQueryPinningIt) {
+  const std::string path = Path("m.csv");
+  ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n"));
+  const Schema schema{{"a", DataType::kInt32}, {"b", DataType::kInt32}};
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterCsv("t", path, schema));
+  ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Get("t"));
+
+  // A query pins the table; the file changes under it.
+  auto query = std::make_unique<FormatScanContext>();
+  ASSERT_OK(entry->Pin(query.get()));
+  std::weak_ptr<const MmapFile> old_mapping = query->mmap;
+  ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n5,6\n"));
+  ASSERT_TRUE(entry->CheckStale());
+
+  // The query still reads the bytes it pinned; the next one sees the new
+  // file under a new version.
+  ASSERT_FALSE(old_mapping.expired());
+  EXPECT_EQ(8u, query->mmap->size());
+  FormatScanContext next;
+  ASSERT_OK(entry->Pin(&next));
+  ASSERT_NE(nullptr, next.mmap);
+  EXPECT_EQ(12u, next.mmap->size());
+  EXPECT_EQ(query->version + 1, next.version);
+
+  // Once no query holds the old mapping, it is gone.
+  query.reset();
+  EXPECT_TRUE(old_mapping.expired()) << "stale mapping outlived its queries";
+}
+
+TEST_F(StalenessTest, CopiesAndClaimsOfStaleBytesAreNeverPublished) {
+  const std::string path = Path("l.csv");
+  ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n"));
+  const Schema schema{{"a", DataType::kInt32}, {"b", DataType::kInt32}};
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterCsv("t", path, schema));
+  ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Get("t"));
+  FormatScanContext old_query;
+  ASSERT_OK(entry->Pin(&old_query));
+  ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n5,6\n"));
+  ASSERT_TRUE(entry->CheckStale());
+
+  // The loaded-copy baseline of the pinned bytes serves its query only.
+  ASSERT_OK_AND_ASSIGN(auto old_copy, entry->EnsureLoaded(old_query, nullptr));
+  EXPECT_EQ(2, old_copy->num_rows());
+  EXPECT_EQ(nullptr, entry->loaded()) << "stale loaded copy was published";
+  // A build claim over the pinned bytes is refused: the map could never be
+  // published for the newer bytes.
+  EXPECT_FALSE(entry->TryClaimPmapBuild(old_query.version));
+  EXPECT_FALSE(entry->TryClaimFormatStateBuild(old_query.version));
+
+  FormatScanContext new_query;
+  ASSERT_OK(entry->Pin(&new_query));
+  ASSERT_OK_AND_ASSIGN(auto new_copy, entry->EnsureLoaded(new_query, nullptr));
+  EXPECT_EQ(3, new_copy->num_rows());
+  EXPECT_EQ(new_copy, entry->loaded());
+  EXPECT_EQ(3, entry->row_count());
+  EXPECT_TRUE(entry->TryClaimPmapBuild(new_query.version));
+  entry->AbandonPmapBuild();
 }
 
 // ---------------------------------------------------------------------------

@@ -61,6 +61,30 @@ TEST(ShredCacheTest, FullColumnNeverDowngraded) {
   EXPECT_EQ(full->Value<int32_t>(0), 1);  // original kept
 }
 
+TEST(ShredCacheTest, EntriesAnswerOnlyTheirOwnTableVersion) {
+  ShredCache cache;
+  ASSERT_OK(cache.Insert("t", 0, nullptr, IntColumn({1, 2, 3}), /*version=*/1));
+  EXPECT_FALSE(cache.LookupFull("t", 0, /*version=*/0).ok());
+  EXPECT_FALSE(cache.LookupFull("t", 0, /*version=*/2).ok());
+  EXPECT_FALSE(cache.Covers("t", 0, {0}, /*version=*/2));
+  EXPECT_FALSE(cache.Lookup("t", 0, {0}, /*version=*/2).ok());
+  EXPECT_TRUE(cache.LookupFull("t", 0, /*version=*/1).ok());
+
+  // A straggler's values of older bytes never replace newer ones...
+  ASSERT_OK(cache.Insert("t", 0, nullptr, IntColumn({7, 7, 7, 7}),
+                         /*version=*/0));
+  ASSERT_OK_AND_ASSIGN(ColumnPtr kept, cache.LookupFull("t", 0, 1));
+  EXPECT_EQ(3, kept->length());
+  // ...while values of newer bytes replace older ones, even a smaller shred
+  // over a full column.
+  std::vector<int64_t> rows = {4};
+  ASSERT_OK(cache.Insert("t", 0, rows.data(), IntColumn({40}), /*version=*/2));
+  EXPECT_FALSE(cache.LookupFull("t", 0, 1).ok());
+  ASSERT_OK_AND_ASSIGN(ColumnPtr fresh, cache.Lookup("t", 0, {4}, 2));
+  EXPECT_EQ(40, fresh->Value<int32_t>(0));
+  EXPECT_EQ(1, cache.num_entries());
+}
+
 TEST(ShredCacheTest, RejectsUnsortedRowIds) {
   ShredCache cache;
   std::vector<int64_t> rows = {5, 3};
