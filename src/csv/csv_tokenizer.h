@@ -63,6 +63,8 @@ inline const char* SkipRowEnd(const char* p, const char* end) {
 /// inference, scans and positional jumps all agree on field boundaries.
 inline bool BufferContainsQuote(const char* begin, const char* end,
                                 char quote) {
+  // An empty file maps to a null buffer, which memchr must not be given.
+  if (begin == end) return false;
   return std::memchr(begin, quote,
                      static_cast<size_t>(end - begin)) != nullptr;
 }

@@ -5,9 +5,19 @@
 namespace raw {
 
 std::string PredicateSpec::ToString() const {
-  return column.ToString() + " " + std::string(CompareOpToString(op)) + " " +
-         (is_parameter() ? "?" + std::to_string(param_index + 1)
-                         : literal.ToString());
+  std::string out = column.ToString();
+  out += ' ';
+  out += CompareOpToString(op);
+  out += ' ';
+  if (is_parameter()) {
+    // Appended piecewise: gcc 12 flags `"?" + std::to_string(...)` with a
+    // false -Wrestrict overlap.
+    out += '?';
+    out += std::to_string(param_index + 1);
+  } else {
+    out += literal.ToString();
+  }
+  return out;
 }
 
 std::string QuerySpec::ToString() const {

@@ -459,8 +459,7 @@ bool CanonicalizeFusedLiteral(DataType col_type, const Datum& lit,
       auto v = lit.AsDouble();
       if (!v.ok()) return false;
       const float f = static_cast<float>(v.value());
-      // Generated source spells float literals in hexfloat, which cannot
-      // represent inf/nan.
+      // Non-finite literals keep the pipeline interpreted.
       if (!std::isfinite(f)) return false;
       *out = Datum::Float32(f);
       return true;

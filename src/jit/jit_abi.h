@@ -86,6 +86,12 @@ typedef struct RawJitContext {
   // Active KernelTier as an int (0=scalar..3=avx2); >=3 enables the AVX2
   // mask loop when the CPU supports it.
   int32_t kernel_tier;
+  // Predicate literals, one 8-byte slot per PipelinePredicate in spec order,
+  // each holding the bits of the literal canonicalized to its column's
+  // compare type (a 4-byte literal fills the slot's first bytes, as memcpy
+  // lays it out). Fused kernels are compiled per query shape and read their
+  // literals from here once per call, so one library serves every literal.
+  const uint64_t* pred_literals;
 } RawJitContext;
 
 // Every generated library exports this symbol. Returns the number of rows

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <sstream>
 
 #include "format/format_driver.h"
 #include "jit/codegen.h"
@@ -33,34 +32,6 @@ std::string_view CompareOpCpp(CompareOp op) {
       return "!=";
   }
   return "?";
-}
-
-/// Spells a canonicalized literal as a C++ constant with the exact bit
-/// pattern the interpreted compare kernel uses (hexfloat round-trips floats
-/// exactly; decimal would not).
-StatusOr<std::string> LiteralCpp(const Datum& lit) {
-  switch (lit.type()) {
-    case DataType::kInt32:
-      return std::to_string(lit.int32_value());
-    case DataType::kInt64: {
-      int64_t v = lit.int64_value();
-      if (v == INT64_MIN) return std::string("(-9223372036854775807ll - 1)");
-      return std::to_string(v) + "ll";
-    }
-    case DataType::kFloat32: {
-      std::ostringstream os;
-      os << std::hexfloat << static_cast<double>(lit.float32_value()) << "f";
-      return os.str();
-    }
-    case DataType::kFloat64: {
-      std::ostringstream os;
-      os << std::hexfloat << lit.float64_value();
-      return os.str();
-    }
-    default:
-      return Status::InvalidArgument(
-          "fused pipelines only compare numeric literals");
-  }
 }
 
 DataType ExpectedLiteralType(DataType column_type) {
@@ -191,6 +162,43 @@ void EmitPrelude(SourceBuilder* src, const PipelineSpec& spec,
   src->Line("#include <charconv>");
   src->Line("#include \"jit/jit_abi.h\"");
   src->Blank();
+  src->Line("template <typename T>");
+  src->Open("static inline T raw_load_literal(const uint64_t* slot) {");
+  src->Line("T v;");
+  src->Line("memcpy(&v, slot, sizeof(v));");
+  src->Line("return v;");
+  src->Close();
+  src->Blank();
+}
+
+/// The typed const local holding predicate `p`'s literal inside a kernel.
+std::string LiteralLocal(const PipelineSpec& spec, const PipelinePredicate* p) {
+  return "lit" + std::to_string(p - spec.predicates.data());
+}
+
+/// Loads the literal of each predicate on a dense (`dense`) or file-read
+/// input from its ctx->pred_literals slot into a typed const local, once per
+/// call and before any row loop, so the compares run against a
+/// loop-invariant register.
+void EmitLiteralBindings(SourceBuilder* src, const PipelineSpec& spec,
+                         bool dense) {
+  for (const PipelinePredicate& p : spec.predicates) {
+    if (spec.inputs[static_cast<size_t>(p.input)].dense != dense) continue;
+    std::string t(CTypeName(p.literal.type()));
+    src->Line("const " + t + " " + LiteralLocal(spec, &p) +
+              " = raw_load_literal<" + t + ">(ctx->pred_literals + " +
+              std::to_string(&p - spec.predicates.data()) + ");");
+  }
+}
+
+/// `if (!(value op literal)) continue;` for every predicate in `preds`.
+void EmitPredicateTests(SourceBuilder* src, const PipelineSpec& spec,
+                        const std::vector<const PipelinePredicate*>& preds,
+                        const std::string& value) {
+  for (const PipelinePredicate* p : preds) {
+    src->Line("if (!(" + value + " " + std::string(CompareOpCpp(p->op)) +
+              " " + LiteralLocal(spec, p) + ")) continue;");
+  }
 }
 
 /// Emits the dense-predicate mask body once; callers wrap it in the scalar
@@ -206,13 +214,14 @@ void EmitMaskBody(SourceBuilder* src, const PipelineSpec& spec,
     src->Line("const " + t + "* const d" + std::to_string(k) + " = (const " +
               t + "*)ctx->in_dense[" + std::to_string(k) + "];");
   }
+  EmitLiteralBindings(src, spec, /*dense=*/true);
   src->Open("for (int64_t t = 0; t < n; ++t) {");
   src->Line("const int64_t r = " + row_expr + ";");
   src->Line("uint8_t keep = 1;");
   for (const PipelinePredicate* p : lay.dense_preds) {
-    std::string lit = LiteralCpp(p->literal).value();
     src->Line("keep &= (uint8_t)(d" + std::to_string(p->input) + "[r] " +
-              std::string(CompareOpCpp(p->op)) + " " + lit + ");");
+              std::string(CompareOpCpp(p->op)) + " " + LiteralLocal(spec, p) +
+              ");");
   }
   src->Line("m[t] = keep;");
   src->Close();
@@ -446,6 +455,7 @@ StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
     src.Line("int64_t produced = 0;");
   }
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, /*dense=*/false);
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   if (agg) {
@@ -471,11 +481,7 @@ StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
     src.Line(std::string(CTypeName(in.type)) + " v" + std::to_string(k) + ";");
     EmitCsvParseField(&src, in.type, "v" + std::to_string(k),
                       spec.scan.delimiter);
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(v" + std::to_string(k) + " " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitPredicateTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
     if (--remaining_file > 0) {
       src.Line("++p;  // consume delimiter");
       cursor_col = in.column + 1;
@@ -530,6 +536,7 @@ StatusOr<std::string> GenerateBinPipeline(const PipelineSpec& spec,
     src.Line("int64_t produced = 0;");
   }
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, /*dense=*/false);
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   if (agg) {
@@ -554,11 +561,7 @@ StatusOr<std::string> GenerateBinPipeline(const PipelineSpec& spec,
     src.Line("memcpy(&v" + std::to_string(k) +
              ", data + (uint64_t)(row + t) * " + rw + "ull + " + off +
              "ull, sizeof(v" + std::to_string(k) + "));");
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(v" + std::to_string(k) + " " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitPredicateTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
   }
   EmitRowOutputs(&src, spec, lay, "rid", "ctx->row_cursor = row + t + 1;");
   src.Close();  // for
@@ -600,6 +603,7 @@ StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
   src.Line("const int64_t end = ctx->total_rows;");
   EmitAggLoads(&src, spec);
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, /*dense=*/false);
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   src.Open("while (row < end) {");
@@ -632,11 +636,8 @@ StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
   src.Line("const int64_t rid = row + t;");
   for (size_t k = 0; k < spec.inputs.size(); ++k) {
     if (spec.inputs[k].dense) continue;
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(b" + std::to_string(k) + "[t] " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitPredicateTests(&src, spec, lay.file_preds[k],
+                       "b" + std::to_string(k) + "[t]");
   }
   for (size_t s = 0; s < spec.aggs.size(); ++s) {
     const PipelineAgg& agg_spec = spec.aggs[s];

@@ -17,50 +17,42 @@ std::string_view PipelineOutputModeToString(PipelineOutputMode mode) {
 
 namespace {
 
-/// Exact-bit literal encoding: two float literals that print the same but
-/// differ in the last ulp must not share a compiled kernel.
-void AppendLiteralKey(std::ostringstream& os, const Datum& lit) {
-  switch (lit.type()) {
-    case DataType::kInt32:
-      os << "i32:" << lit.int32_value();
-      return;
-    case DataType::kInt64:
-      os << "i64:" << lit.int64_value();
-      return;
-    case DataType::kFloat32: {
-      float v = lit.float32_value();
-      uint32_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      os << "f32:" << std::hex << bits << std::dec;
-      return;
-    }
-    case DataType::kFloat64: {
-      double v = lit.float64_value();
-      uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      os << "f64:" << std::hex << bits << std::dec;
-      return;
-    }
-    default:
-      os << "?:" << lit.ToString();
-      return;
-  }
+template <typename T>
+uint64_t SlotBits(T v) {
+  static_assert(sizeof(T) <= sizeof(uint64_t), "literal wider than a slot");
+  uint64_t slot = 0;
+  std::memcpy(&slot, &v, sizeof(v));
+  return slot;
 }
 
 }  // namespace
 
+uint64_t PipelineLiteralSlot(const Datum& lit) {
+  switch (lit.type()) {
+    case DataType::kInt32:
+      return SlotBits(lit.int32_value());
+    case DataType::kInt64:
+      return SlotBits(lit.int64_value());
+    case DataType::kFloat32:
+      return SlotBits(lit.float32_value());
+    case DataType::kFloat64:
+      return SlotBits(lit.float64_value());
+    default:
+      return 0;
+  }
+}
+
 std::string PipelineSpec::CacheKey() const {
   std::ostringstream os;
-  os << "pipe1|" << scan.CacheKey() << "|in=";
+  os << "pipe2|" << scan.CacheKey() << "|in=";
   for (const PipelineInput& in : inputs) {
     os << in.column << ':' << DataTypeToString(in.type)
        << (in.dense ? ":d" : ":f") << ',';
   }
   os << "|pred=";
   for (const PipelinePredicate& p : predicates) {
-    os << p.input << ':' << CompareOpToString(p.op) << ':';
-    AppendLiteralKey(os, p.literal);
-    os << ',';
+    os << p.input << ':' << CompareOpToString(p.op) << ':'
+       << DataTypeToString(p.literal.type()) << ',';
   }
   os << "|mode=" << PipelineOutputModeToString(mode) << "|proj=";
   for (int p : projections) os << p << ',';

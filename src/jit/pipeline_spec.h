@@ -40,7 +40,8 @@ struct PipelineInput {
 /// `inputs[input] op literal`, with the literal already canonicalized to the
 /// column's comparison type (exactly the coercion the interpreted
 /// const-compare kernel applies, so fused and interpreted filters agree bit
-/// for bit).
+/// for bit). The literal's value is not part of the compiled kernel: the
+/// operator passes it at run time in ctx->pred_literals.
 struct PipelinePredicate {
   int input = 0;
   CompareOp op = CompareOp::kLt;
@@ -55,7 +56,8 @@ struct PipelineAgg {
 
 /// Complete description of a fused scan→filter→project→aggregate kernel —
 /// the pipeline-fusion generalization of AccessPathSpec. Everything the
-/// generated loop hard-codes is captured here, so equal specs are
+/// generated loop hard-codes is captured here; predicate literal values are
+/// the one run-time parameter, so specs with equal CacheKey()s are
 /// interchangeable compiled artifacts (the template-cache contract).
 struct PipelineSpec {
   /// The embedded scan access path. Its outputs are exactly the non-dense
@@ -79,13 +81,18 @@ struct PipelineSpec {
   /// kAggregate: the aggregates to fold.
   std::vector<PipelineAgg> aggs;
 
-  /// Stable identity for the template cache. Namespaced ("pipe1|...") so
-  /// fused kernels never collide with plain scan kernels; literals are
-  /// encoded with exact bit patterns.
+  /// Stable identity for the template cache: the query shape only.
+  /// Namespaced ("pipe2|...") so fused kernels never collide with plain scan
+  /// kernels. Each predicate contributes its input, op and literal type but
+  /// not the literal's value, so one kernel serves every literal.
   std::string CacheKey() const;
 
   std::string ToString() const { return CacheKey(); }
 };
+
+/// The ctx->pred_literals slot for a canonicalized predicate literal: its
+/// bits in the slot's leading bytes (memcpy layout), the rest zero.
+uint64_t PipelineLiteralSlot(const Datum& lit);
 
 /// Number of partial-state columns each aggregate occupies in a fused
 /// partial row: count (int64), dacc (float64), iacc (int64), init (int64).

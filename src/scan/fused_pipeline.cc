@@ -117,6 +117,14 @@ Status FusedPipelineOperator::Open() {
   }
   ctx_.kernel_tier = static_cast<int32_t>(ActiveKernelTier());
 
+  // The kernel is shared by every literal of this shape; this query's
+  // literals travel in the per-operator context.
+  literal_slots_.clear();
+  for (const PipelinePredicate& p : spec.predicates) {
+    literal_slots_.push_back(PipelineLiteralSlot(p.literal));
+  }
+  ctx_.pred_literals = literal_slots_.data();
+
   if (agg_mode) {
     agg_count_.assign(spec.aggs.size(), 0);
     agg_dacc_.assign(spec.aggs.size(), 0.0);

@@ -92,6 +92,8 @@ class FusedPipelineOperator : public Operator {
   double compile_seconds_ = 0;
   bool eof_ = false;
   std::vector<const void*> dense_ptr_scratch_;
+  /// ctx_.pred_literals: one slot per spec predicate (PipelineLiteralSlot).
+  std::vector<uint64_t> literal_slots_;
   std::vector<int64_t> agg_count_;
   std::vector<double> agg_dacc_;
   std::vector<int64_t> agg_iacc_;

@@ -48,15 +48,22 @@ Status PayloadReader::Bytes(void* out, size_t size) {
   return Status::OK();
 }
 
+void PayloadWriter::PutRaw(const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  buf_.insert(buf_.end(), p, p + size);
+}
+
 std::vector<uint8_t> EncodeFrame(MessageType type,
                                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(5 + payload.size());
+  // Sized up front and filled by memcpy: gcc 12 flags inserts into a
+  // freshly reserved vector with a false -Wstringop-overflow.
+  std::vector<uint8_t> out(5 + payload.size());
   const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint8_t* lp = reinterpret_cast<const uint8_t*>(&len);
-  out.insert(out.end(), lp, lp + 4);
-  out.push_back(static_cast<uint8_t>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::memcpy(out.data(), &len, sizeof(len));
+  out[4] = static_cast<uint8_t>(type);
+  if (!payload.empty()) {
+    std::memcpy(out.data() + 5, payload.data(), payload.size());
+  }
   return out;
 }
 

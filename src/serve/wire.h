@@ -68,10 +68,10 @@ class PayloadWriter {
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
-  void PutRaw(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + size);
-  }
+  // Out of line (wire.cc): inlined into a caller that has just built an
+  // empty writer, gcc 12 misreads the vector growth as writing past a
+  // zero-size buffer (-Wstringop-overflow / -Warray-bounds).
+  void PutRaw(const void* data, size_t size);
   std::vector<uint8_t> buf_;
 };
 

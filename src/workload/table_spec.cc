@@ -78,8 +78,13 @@ Datum TableDataSource::Value(int64_t row, int column) const {
           static_cast<double>(col.max_value)));
     case DataType::kBool:
       return Datum::Bool(rng.NextBool());
-    case DataType::kString:
-      return Datum::String("s" + std::to_string(rng.NextBelow(1000000)));
+    case DataType::kString: {
+      // Appending to a one-char string, not `"s" + std::to_string(...)`:
+      // gcc 12 flags that operator+ with a false -Wrestrict overlap.
+      std::string s(1, 's');
+      s += std::to_string(rng.NextBelow(1000000));
+      return Datum::String(std::move(s));
+    }
   }
   return Datum();
 }

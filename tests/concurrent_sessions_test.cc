@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
@@ -387,6 +388,109 @@ TEST_F(ConcurrentSessionsTest, PreparedQuerySkipsReparseAndRebind) {
   EXPECT_FALSE(prepared.Execute({}).ok());
   EXPECT_FALSE(
       prepared.Execute({Datum::String("nope"), Datum::Int64(1)}).ok());
+}
+
+TEST_F(ConcurrentSessionsTest, FusedSessionsShareOneKernelWithOwnLiterals) {
+  auto engine = NewEngine();
+  if (!engine->Stats().jit_compiler_available()) {
+    GTEST_SKIP() << "no external compiler";
+  }
+  // One fused shape per table; file-read inputs only, so every execution
+  // plans the same kernel.
+  PlannerOptions fused;
+  fused.access_path = AccessPathKind::kJit;
+  fused.jit_fusion = JitFusion::kOn;
+  fused.num_threads = 2;
+  fused.populate_shred_cache = false;
+  PlannerOptions interpreted = fused;
+  interpreted.jit_fusion = JitFusion::kOff;
+  // The fused CSV plug-in runs off the complete positional map.
+  ASSERT_OK(engine->Query("SELECT SUM(col0) FROM t_csv", interpreted)
+                .status());
+  const std::vector<std::string> tables = {"t_csv", "t_bin"};
+  auto sql = [](const std::string& table) {
+    return "SELECT COUNT(*), MAX(col2) FROM " + table + " WHERE col1 < ?";
+  };
+
+  // Serial interpreted answers, one per (session literal, table); distinct
+  // per session, so a session that saw another's literal would notice.
+  std::vector<Datum> literals;
+  std::map<std::pair<int, std::string>, std::string> expected;
+  auto reference = engine->OpenSession(interpreted);
+  for (int s = 0; s < kNumSessions; ++s) {
+    literals.push_back(spec_.SelectivityLiteral(1, 0.1 + 0.2 * s));
+    for (const std::string& table : tables) {
+      ASSERT_OK_AND_ASSIGN(PreparedQuery q, reference->Prepare(sql(table)));
+      ASSERT_OK_AND_ASSIGN(QueryResult r, q.Execute({literals.back()}));
+      const std::string answer = r.table.ToString(100);
+      for (int other = 0; other < s; ++other) {
+        ASSERT_NE((expected[{other, table}]), answer);
+      }
+      expected[{s, table}] = answer;
+    }
+  }
+
+  const int64_t compiles_before = engine->Stats().jit_cache.compiles;
+  constexpr int kRounds = 10;
+  struct Outcome {
+    std::string table;
+    std::string error;  // empty = ok
+    std::string answer;
+    bool fused = false;
+  };
+  std::vector<std::vector<Outcome>> outcomes(kNumSessions);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kNumSessions; ++s) {
+    threads.emplace_back([&, s] {
+      std::vector<Outcome>& mine = outcomes[static_cast<size_t>(s)];
+      const Datum& literal = literals[static_cast<size_t>(s)];
+      auto session = engine->OpenSession(fused);
+      std::vector<PreparedQuery> prepared;
+      for (const std::string& table : tables) {
+        auto q = session->Prepare(sql(table));
+        if (!q.ok()) {
+          mine.push_back({table, q.status().ToString(), "", false});
+          ready.fetch_add(1);  // never leave the others waiting
+          return;
+        }
+        prepared.push_back(std::move(q).value());
+      }
+      // Start together so the sessions' executions interleave.
+      ready.fetch_add(1);
+      while (ready.load() < kNumSessions) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t t = 0; t < tables.size(); ++t) {
+          Outcome outcome;
+          outcome.table = tables[t];
+          auto result = prepared[t].Execute({literal});
+          if (!result.ok()) {
+            outcome.error = result.status().ToString();
+          } else {
+            outcome.answer = result->table.ToString(100);
+            outcome.fused = result->plan_description.find("[jit-fused]") !=
+                            std::string::npos;
+          }
+          mine.push_back(std::move(outcome));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int s = 0; s < kNumSessions; ++s) {
+    const std::vector<Outcome>& mine = outcomes[static_cast<size_t>(s)];
+    ASSERT_EQ(mine.size(), kRounds * tables.size()) << "session " << s;
+    for (const Outcome& outcome : mine) {
+      ASSERT_EQ(outcome.error, "") << outcome.table;
+      EXPECT_TRUE(outcome.fused) << outcome.table;
+      EXPECT_EQ(outcome.answer, (expected[{s, outcome.table}]))
+          << "session " << s << " got another literal's answer on "
+          << outcome.table;
+    }
+  }
+  // Every session ran the same kernel per table: at most one compile each.
+  EXPECT_LE(engine->Stats().jit_cache.compiles - compiles_before,
+            static_cast<int64_t>(tables.size()));
 }
 
 TEST_F(ConcurrentSessionsTest, StreamingCursorMatchesMaterialized) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,67 @@ void ExpectSameResults(const QueryResult& fused, const QueryResult& interp,
 
 bool Fused(const QueryResult& result) {
   return result.plan_description.find("[jit-fused]") != std::string::npos;
+}
+
+/// One parameter list per element of `literals` (single-`?` queries).
+std::vector<std::vector<Datum>> Singles(const std::vector<Datum>& literals) {
+  std::vector<std::vector<Datum>> out;
+  for (const Datum& lit : literals) out.push_back({lit});
+  return out;
+}
+
+/// Runs one prepared fused shape with every parameter set, interpreted and
+/// then fused, at threads {1, 4}. Every fused answer must equal the
+/// interpreted one bit for bit, and the whole fused sweep may compile at
+/// most one kernel: literals are run-time arguments of the compiled shape,
+/// not part of it. Appends the single-threaded fused answers' first cells to
+/// `answers` (in parameter-set order) when given.
+void ExpectOneKernelForAllLiterals(
+    RawEngine& engine, const std::string& sql,
+    const std::vector<std::vector<Datum>>& param_sets,
+    std::vector<std::string>* answers = nullptr) {
+  auto session = engine.OpenSession(Opts(JitFusion::kOff, 1));
+  ASSERT_OK_AND_ASSIGN(PreparedQuery prepared, session->Prepare(sql));
+  auto context = [&](const std::vector<Datum>& params, int threads) {
+    std::string out = sql;
+    out += " with";
+    for (const Datum& p : params) {
+      out += ' ';
+      out += p.ToString();
+    }
+    out += " threads=";
+    out += std::to_string(threads);
+    return out;
+  };
+  // Interpreted answers first, so any plain scan kernel they need is already
+  // cached when the fused runs start counting compiles.
+  std::vector<QueryResult> interpreted;
+  for (const std::vector<Datum>& params : param_sets) {
+    for (int threads : {1, 4}) {
+      session->set_planner_options(Opts(JitFusion::kOff, threads));
+      ASSERT_OK_AND_ASSIGN(QueryResult r, prepared.Execute(params));
+      ASSERT_FALSE(Fused(r)) << r.plan_description;
+      interpreted.push_back(std::move(r));
+    }
+  }
+  const JitCacheStats before = engine.Stats().jit_cache;
+  size_t i = 0;
+  for (const std::vector<Datum>& params : param_sets) {
+    for (int threads : {1, 4}) {
+      session->set_planner_options(Opts(JitFusion::kOn, threads));
+      ASSERT_OK_AND_ASSIGN(QueryResult fused, prepared.Execute(params));
+      EXPECT_TRUE(Fused(fused))
+          << fused.plan_description << " for " << context(params, threads);
+      ExpectSameResults(fused, interpreted[i++], context(params, threads));
+      if (answers != nullptr && threads == 1) {
+        ASSERT_OK_AND_ASSIGN(Datum first, fused.ValueAt(0, 0));
+        answers->push_back(first.ToString());
+      }
+    }
+  }
+  const JitCacheStats after = engine.Stats().jit_cache;
+  EXPECT_LE(after.compiles - before.compiles, 1) << sql;
+  EXPECT_LE(after.entries - before.entries, 1) << sql;
 }
 
 class FusionTest : public TempDirTest {
@@ -195,6 +259,208 @@ TEST_F(FusionTest, RefFusedMatchesInterpreted) {
                         sql + " threads=" + std::to_string(threads));
     }
   }
+}
+
+// --- one kernel per shape, whatever the literal ------------------------------
+
+/// Nine distinct col1 literals spanning empty to full selections.
+std::vector<Datum> Col1Literals(const TableSpec& spec) {
+  std::vector<Datum> out = {Datum::Int32(INT32_MIN), Datum::Int32(INT32_MAX)};
+  for (double f : {0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 1.0}) {
+    out.push_back(spec.SelectivityLiteral(1, f));
+  }
+  return out;
+}
+
+TEST_F(FusionTest, CsvLiteralSweepSharesOneKernel) {
+  auto engine = CsvEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  ExpectOneKernelForAllLiterals(
+      *engine, "SELECT COUNT(*), MAX(col2), MIN(col0) FROM f WHERE col1 < ?",
+      Singles(Col1Literals(spec_)));
+  ExpectOneKernelForAllLiterals(*engine,
+                                "SELECT col0, col4 FROM f WHERE col1 >= ?",
+                                Singles(Col1Literals(spec_)));
+}
+
+TEST_F(FusionTest, BinLiteralSweepSharesOneKernel) {
+  auto engine = BinEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  ExpectOneKernelForAllLiterals(
+      *engine, "SELECT COUNT(*), MAX(col2), MIN(col0) FROM f WHERE col1 < ?",
+      Singles(Col1Literals(spec_)));
+  ExpectOneKernelForAllLiterals(*engine,
+                                "SELECT col0, col4 FROM f WHERE col1 >= ?",
+                                Singles(Col1Literals(spec_)));
+}
+
+TEST_F(FusionTest, RefLiteralSweepSharesOneKernel) {
+  EventGenOptions gen;
+  gen.num_events = 2000;
+  ASSERT_OK(WriteRefFile(Path("e.ref"), gen, /*cluster_events=*/128));
+  RawEngine engine;
+  ASSERT_OK(engine.RegisterRef("a", Path("e.ref")));
+  if (!CompilerAvailable(engine)) GTEST_SKIP() << "no compiler";
+  std::vector<Datum> pts;
+  for (double pt : {-1.0, 0.0, 5.0, 10.0, 20.0, 35.5, 50.0, 1e6}) {
+    pts.push_back(Datum::Float64(pt));
+  }
+  ExpectOneKernelForAllLiterals(
+      engine, "SELECT MAX(pt), MIN(eta), COUNT(*) FROM a_muons WHERE pt > ?",
+      Singles(pts));
+}
+
+/// Dense (shred-cache) predicates run in the AVX2 mask prepass; their
+/// literals must reach both mask copies, alone and next to file predicates.
+TEST_F(FusionTest, DenseInputLiteralSweepSharesOneKernel) {
+  for (const bool csv : {true, false}) {
+    SCOPED_TRACE(csv ? "csv" : "bin");
+    auto engine = csv ? CsvEngine() : BinEngine();
+    if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+    PlannerOptions warm = Opts(JitFusion::kOff, 1);
+    warm.populate_shred_cache = true;
+    ASSERT_OK(engine->Query("SELECT SUM(col4), SUM(col5) FROM f", warm)
+                  .status());
+    ASSERT_TRUE(engine->ShredCacheContainsFull("f", 4));
+    ASSERT_TRUE(engine->ShredCacheContainsFull("f", 5));
+
+    std::vector<Datum> col5;
+    std::vector<Datum> col4;
+    std::vector<std::vector<Datum>> mixed;
+    for (double f : {0.0, 0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.95, 1.0}) {
+      col5.push_back(spec_.SelectivityLiteral(5, f));
+      col4.push_back(spec_.SelectivityLiteral(4, f));
+      mixed.push_back({spec_.SelectivityLiteral(5, f),
+                       spec_.SelectivityLiteral(1, 1.0 - f)});
+    }
+    ExpectOneKernelForAllLiterals(
+        *engine, "SELECT COUNT(*), MAX(col2) FROM f WHERE col5 < ?",
+        Singles(col5));
+    ExpectOneKernelForAllLiterals(
+        *engine, "SELECT COUNT(*), MIN(col2) FROM f WHERE col4 >= ?",
+        Singles(col4));
+    ExpectOneKernelForAllLiterals(
+        *engine,
+        "SELECT COUNT(*), MAX(col2) FROM f WHERE col5 < ? AND col1 >= ?",
+        mixed);
+  }
+}
+
+/// Literal bits survive the trip through ctx->pred_literals unchanged: the
+/// type extremes, signed zero, denormals, and a float64 literal one ulp
+/// either side of a stored value, over file and dense inputs.
+TEST_F(FusionTest, LiteralEdgesMatchInterpreted) {
+  spec_.columns[1].min_value = -1000000000;
+  spec_.columns[1].max_value = 1000000000;
+  spec_.columns[3].min_value = -4000000000000000000ll;
+  spec_.columns[3].max_value = 4000000000000000000ll;
+  spec_.columns[4].min_value = -1000;
+  spec_.columns[4].max_value = 1000;
+  spec_.columns[6].type = DataType::kFloat32;
+  spec_.columns[6].min_value = -1;
+  spec_.columns[6].max_value = 1;
+  for (const bool dense : {false, true}) {
+    for (const bool csv : {true, false}) {
+      SCOPED_TRACE(std::string(csv ? "csv" : "bin") +
+                   (dense ? " dense" : " file"));
+      auto engine = csv ? CsvEngine() : BinEngine();
+      if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+      if (dense) {
+        PlannerOptions warm = Opts(JitFusion::kOff, 1);
+        warm.populate_shred_cache = true;
+        ASSERT_OK(engine
+                      ->Query("SELECT MAX(col1), MAX(col3), MAX(col4), "
+                              "MAX(col6) FROM f",
+                              warm)
+                      .status());
+        for (int col : {1, 3, 4, 6}) {
+          ASSERT_TRUE(engine->ShredCacheContainsFull("f", col)) << col;
+        }
+      }
+
+      ExpectOneKernelForAllLiterals(
+          *engine, "SELECT COUNT(*), MAX(col2) FROM f WHERE col1 > ?",
+          Singles({Datum::Int32(INT32_MIN), Datum::Int32(INT32_MIN + 1),
+                   Datum::Int32(-1), Datum::Int32(0), Datum::Int32(1),
+                   Datum::Int32(INT32_MAX - 1), Datum::Int32(INT32_MAX),
+                   spec_.SelectivityLiteral(1, 0.5)}));
+      ExpectOneKernelForAllLiterals(
+          *engine, "SELECT COUNT(*), MAX(col2) FROM f WHERE col3 >= ?",
+          Singles({Datum::Int64(INT64_MIN), Datum::Int64(INT64_MIN + 1),
+                   Datum::Int64(-1), Datum::Int64(0), Datum::Int64(1),
+                   Datum::Int64(INT32_MIN), Datum::Int64(INT64_MAX - 1),
+                   Datum::Int64(INT64_MAX)}));
+
+      ASSERT_OK_AND_ASSIGN(
+          QueryResult max_result,
+          engine->Query("SELECT MAX(col4) FROM f", Opts(JitFusion::kOff, 1)));
+      ASSERT_OK_AND_ASSIGN(Datum stored, max_result.Scalar());
+      const double v = stored.float64_value();
+      const double up = std::nextafter(v, INFINITY);
+      const double down = std::nextafter(v, -INFINITY);
+      const double denorm = std::numeric_limits<double>::denorm_min();
+      std::vector<std::string> counts;
+      ExpectOneKernelForAllLiterals(
+          *engine, "SELECT COUNT(*), MIN(col2) FROM f WHERE col4 >= ?",
+          Singles({Datum::Float64(v), Datum::Float64(up),
+                   Datum::Float64(down), Datum::Float64(-0.0),
+                   Datum::Float64(0.0), Datum::Float64(denorm),
+                   Datum::Float64(-denorm),
+                   Datum::Float64(std::numeric_limits<double>::lowest())}),
+          &counts);
+      ASSERT_EQ(counts.size(), 8u);
+      // The largest stored value passes `>= v` and `>= down` but not
+      // `>= up`: the literal was not rounded on its way into the kernel.
+      EXPECT_NE(counts[0], "0");
+      EXPECT_EQ(counts[1], "0");
+      EXPECT_EQ(counts[2], counts[0]);
+
+      const float fdenorm = std::numeric_limits<float>::denorm_min();
+      ExpectOneKernelForAllLiterals(
+          *engine, "SELECT COUNT(*), MAX(col2) FROM f WHERE col6 < ?",
+          Singles({Datum::Float32(-0.0f), Datum::Float32(0.0f),
+                   Datum::Float32(fdenorm), Datum::Float32(-fdenorm),
+                   Datum::Float32(1e-40f), Datum::Float32(0.5f),
+                   Datum::Float32(std::nextafter(0.5f, 1.0f)),
+                   Datum::Float32(std::numeric_limits<float>::max())}));
+    }
+  }
+}
+
+TEST_F(FusionTest, PreparedReexecutionCompilesOnce) {
+  auto engine = BinEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  const std::string sql = "SELECT COUNT(*), SUM(col3) FROM f WHERE col1 < ?";
+  std::vector<Datum> literals;
+  std::vector<QueryResult> interpreted;
+  for (double f : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+    literals.push_back(spec_.SelectivityLiteral(1, f));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult r,
+        engine->Query("SELECT COUNT(*), SUM(col3) FROM f WHERE col1 < " +
+                          literals.back().ToString(),
+                      Opts(JitFusion::kOff, 1)));
+    interpreted.push_back(std::move(r));
+  }
+
+  auto session = engine->OpenSession(Opts(JitFusion::kOn, 1));
+  ASSERT_OK_AND_ASSIGN(PreparedQuery prepared, session->Prepare(sql));
+  const JitCacheStats before = engine->Stats().jit_cache;
+  int64_t entries_after_first = -1;
+  for (size_t i = 0; i < literals.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(QueryResult fused, prepared.Execute({literals[i]}));
+    EXPECT_TRUE(Fused(fused)) << fused.plan_description;
+    ExpectSameResults(fused, interpreted[i], literals[i].ToString());
+    if (i == 0) {
+      entries_after_first = engine->Stats().jit_cache.entries;
+      continue;
+    }
+    // Re-executions reuse the first execution's kernel.
+    EXPECT_EQ(fused.compile_seconds, 0.0) << literals[i].ToString();
+    EXPECT_EQ(engine->Stats().jit_cache.entries, entries_after_first)
+        << literals[i].ToString();
+  }
+  EXPECT_LE(engine->Stats().jit_cache.compiles - before.compiles, 1);
 }
 
 // --- float aggregates: fuse only where merging is exact ----------------------

@@ -128,7 +128,9 @@ TEST_F(InferenceTest, QuotedCsvScansAgreeWithInference) {
   std::string path = Path("q.csv");
   std::string content = "id,name,score\n";
   for (int i = 0; i < 200; ++i) {
-    content += "\"" + std::to_string(i) + "\",";
+    content += '"';
+    content += std::to_string(i);
+    content += "\",";
     if (i % 7 == 0) {
       content += "\"na,me\nwith \"\"stuff\"\"\",";
     } else {

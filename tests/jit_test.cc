@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "common/mmap_file.h"
 #include "csv/csv_writer.h"
 #include "jit/access_path_spec.h"
 #include "jit/cc_compiler.h"
 #include "jit/codegen.h"
+#include "jit/pipeline_codegen.h"
+#include "jit/pipeline_spec.h"
 #include "jit/source_builder.h"
 #include "engine/formats/builtin.h"
 #include "jit/template_cache.h"
@@ -100,6 +105,96 @@ TEST(CacheKeyTest, DistinguishesSpecs) {
   b = CsvSeqSpec();
   b.mode = ScanMode::kByPosition;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
+}
+
+// --- fused pipeline specs: one kernel per shape ------------------------------
+
+/// A warm CSV pipeline: MAX(col4) WHERE col1 < literal AND col4 >= 0.5, with
+/// col1 read from the file and col4 dense (cached).
+PipelineSpec CsvPipeline(int32_t literal) {
+  PipelineSpec spec;
+  spec.scan.format = FileFormat::kCsv;
+  spec.scan.mode = ScanMode::kByPosition;
+  spec.scan.anchor_column = 0;
+  spec.scan.outputs = {{1, DataType::kInt32}};
+  spec.inputs = {{1, DataType::kInt32, false}, {4, DataType::kFloat64, true}};
+  spec.predicates = {{1, CompareOp::kGe, Datum::Float64(0.5)},
+                     {0, CompareOp::kLt, Datum::Int32(literal)}};
+  spec.mode = PipelineOutputMode::kAggregate;
+  spec.aggs = {{AggKind::kMax, 1}};
+  return spec;
+}
+
+TEST(PipelineCacheKeyTest, LiteralValuesShareOneKey) {
+  const std::string key = CsvPipeline(7).CacheKey();
+  EXPECT_EQ(key.rfind("pipe2|", 0), 0u) << key;
+  EXPECT_EQ(CsvPipeline(-123456).CacheKey(), key);
+  EXPECT_EQ(CsvPipeline(INT32_MIN).CacheKey(), key);
+  PipelineSpec zero = CsvPipeline(7);
+  zero.predicates[0].literal = Datum::Float64(-0.0);
+  EXPECT_EQ(zero.CacheKey(), key);
+}
+
+TEST(PipelineCacheKeyTest, ShapeChangesTheKey) {
+  const std::string key = CsvPipeline(7).CacheKey();
+  PipelineSpec op = CsvPipeline(7);
+  op.predicates[1].op = CompareOp::kLe;
+  EXPECT_NE(op.CacheKey(), key);
+  PipelineSpec type = CsvPipeline(7);
+  type.predicates[1].literal = Datum::Int64(7);
+  EXPECT_NE(type.CacheKey(), key);
+  PipelineSpec input = CsvPipeline(7);
+  input.predicates[0].input = 0;
+  input.predicates[0].literal = Datum::Int32(7);
+  input.predicates[1].input = 1;
+  input.predicates[1].literal = Datum::Float64(0.5);
+  EXPECT_NE(input.CacheKey(), key);
+  PipelineSpec file = CsvPipeline(7);
+  file.inputs[1].dense = false;
+  file.scan.outputs.push_back({4, DataType::kFloat64});
+  EXPECT_NE(file.CacheKey(), key);
+}
+
+TEST(PipelineCodegenTest, SourceCarriesNoLiteralValues) {
+  ASSERT_OK_AND_ASSIGN(std::string src,
+                       GenerateCsvPipelineSource(CsvPipeline(123456789)));
+  EXPECT_EQ(src.find("123456789"), std::string::npos) << src;
+  // The dense-mask copies and the file-predicate test both read the slots.
+  EXPECT_NE(src.find("ctx->pred_literals + 0"), std::string::npos) << src;
+  EXPECT_NE(src.find("ctx->pred_literals + 1"), std::string::npos) << src;
+  EXPECT_NE(src.find("raw_eval_mask_avx2"), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(std::string other,
+                       GenerateCsvPipelineSource(CsvPipeline(-5)));
+  EXPECT_EQ(src, other);
+
+  PipelineSpec bin;
+  bin.scan.format = FileFormat::kBinary;
+  bin.scan.mode = ScanMode::kSequential;
+  bin.scan.outputs = {{2, DataType::kInt64}};
+  bin.scan.row_width = 24;
+  bin.scan.column_offsets = {8};
+  bin.inputs = {{2, DataType::kInt64, false}};
+  bin.predicates = {{0, CompareOp::kNe, Datum::Int64(123456789)}};
+  bin.mode = PipelineOutputMode::kProject;
+  bin.projections = {0};
+  ASSERT_OK_AND_ASSIGN(std::string bin_src, GenerateBinPipelineSource(bin));
+  EXPECT_EQ(bin_src.find("123456789"), std::string::npos) << bin_src;
+}
+
+TEST(PipelineSpecTest, LiteralSlotsHoldCanonicalBits) {
+  EXPECT_EQ(PipelineLiteralSlot(Datum::Int64(INT64_MIN)), 1ull << 63);
+  EXPECT_EQ(PipelineLiteralSlot(Datum::Float64(-0.0)), 1ull << 63);
+  // Narrow literals sit in the slot's leading bytes, the way the kernel
+  // memcpy's them back out.
+  const uint64_t i32 = PipelineLiteralSlot(Datum::Int32(INT32_MIN));
+  int32_t i32_back;
+  std::memcpy(&i32_back, &i32, sizeof(i32_back));
+  EXPECT_EQ(i32_back, INT32_MIN);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const uint64_t f32 = PipelineLiteralSlot(Datum::Float32(denorm));
+  uint32_t f32_bits;
+  std::memcpy(&f32_bits, &f32, sizeof(f32_bits));
+  EXPECT_EQ(f32_bits, 1u);
 }
 
 // --- compile & execute ----------------------------------------------------------
